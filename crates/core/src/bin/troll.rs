@@ -722,13 +722,8 @@ fn cmd_serve(opts: &ServeCliOpts) -> Result<(), String> {
     println!("troll-serve listening on {addr}");
     let summary = server.run().map_err(|e| e.to_string())?;
     println!(
-        "troll-serve exiting: worlds={} requests={} events={} commits={} conflicts={} errors={}",
-        summary.worlds,
-        summary.requests,
-        summary.events,
-        summary.commits,
-        summary.conflicts,
-        summary.errors
+        "troll-serve exiting: worlds={} requests={} events={} commits={} errors={}",
+        summary.worlds, summary.requests, summary.events, summary.commits, summary.errors
     );
     Ok(())
 }

@@ -174,36 +174,6 @@ pub fn run_script_sharded(ws: &mut WorldShards, script: &str) -> Result<Vec<Outc
     Ok(outcomes)
 }
 
-/// Parses a `birth`/`exec` script line into its batch event plus, for
-/// births, the identity its outcome reports — the speculable subset of
-/// the command language. Returns `None` for any other command (run
-/// those via [`run_command`]), `Some(Err)` for a birth/exec-shaped
-/// line with a malformed term.
-///
-/// # Errors
-///
-/// Inside the `Some`: a parse failure message for the offending term.
-pub fn parse_event_line(line: &str) -> Option<Result<(BatchEvent, Option<ObjectId>), String>> {
-    let tokens = split_top_level(line);
-    match tokens.first().map(String::as_str) {
-        Some("birth") if tokens.len() == 5 => Some((|| {
-            let key = parse_term_list(&tokens[2])?;
-            let args = parse_term_list(&tokens[4])?;
-            let id = ObjectId::new(tokens[1].clone(), key);
-            Ok((
-                BatchEvent::new(id.clone(), tokens[3].clone(), args),
-                Some(id),
-            ))
-        })()),
-        Some("exec") if tokens.len() == 4 => Some((|| {
-            let id = parse_identity(&tokens[1])?;
-            let args = parse_term_list(&tokens[3])?;
-            Ok((BatchEvent::new(id, tokens[2].clone(), args), None))
-        })()),
-        _ => None,
-    }
-}
-
 /// Runs a single script command.
 ///
 /// # Errors

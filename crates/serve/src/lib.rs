@@ -4,11 +4,11 @@
 //! dependencies — see [`poll`]) speaking a newline-delimited JSON
 //! protocol ([`proto`]): `open`, `submit-event`, `query-attr`,
 //! `query-view`, `stats`, `shutdown`. A registry maps world ids to
-//! engines; submissions multiplex onto a worker pool that *speculates*
-//! steps via [`troll_runtime::ObjectBase::speculate`] and serializes
-//! only the commit per world ([`server`]). With `--durable`, every
-//! world gets its own [`troll_store`] directory (WAL + snapshots) and
-//! recovers on reopen.
+//! engines; submissions multiplex onto a worker pool in which one
+//! worker at a time owns a world and runs its requests, in arrival
+//! order, through [`troll_runtime::script::run_command`] ([`server`]).
+//! With `--durable`, every world gets its own [`troll_store`]
+//! directory (WAL + snapshots) and recovers on reopen.
 //!
 //! The response `text` for a script line is byte-for-byte what
 //! `troll animate` prints for the same line — the server is

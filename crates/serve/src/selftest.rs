@@ -80,7 +80,7 @@ impl LoadReport {
         let l = &self.latency;
         format!(
             "serve selftest: {} worlds x {} events over {} conns\n\
-             requests={} events={} errors={} conflicts={} commits={}\n\
+             requests={} events={} errors={} commits={}\n\
              elapsed={:.3}s events/sec={:.0}\n\
              client latency: p50={}ns p90={}ns p99={}ns max={}ns (n={})",
             self.worlds,
@@ -89,7 +89,6 @@ impl LoadReport {
             self.total_requests,
             self.total_events,
             self.errors,
-            self.summary.conflicts,
             self.summary.commits,
             self.elapsed.as_secs_f64(),
             self.events_per_sec,

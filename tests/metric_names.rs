@@ -84,7 +84,6 @@ const GLOBAL_COUNTERS: &[&str] = &[
 const SERVE_COUNTERS: &[&str] = &[
     "serve.commits",
     "serve.compactions",
-    "serve.conflicts",
     "serve.deferred_acks",
     "serve.errors",
     "serve.events",

@@ -1,24 +1,18 @@
 //! Integration tests of the multi-world animation server: protocol
 //! robustness (partial reads, pipelining, bad input), equivalence with
-//! sequential animation, scale (1k worlds), durability across server
-//! restarts, and the cross-world speculation API the server is built
-//! on.
+//! sequential animation on every shipped spec, scale (1k worlds), and
+//! durability across server restarts.
+
+#[path = "spec_workloads.rs"]
+mod spec_workloads;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use troll::data::{ObjectId, Value};
-use troll::runtime::ObjectBase;
 use troll::script::run_command;
 use troll::serve::{LoadConfig, Request, Response, ServeOptions, Server};
+use troll::store::{FsyncPolicy, StoreOptions};
 use troll::System;
-
-fn base() -> ObjectBase {
-    System::load_str(troll::specs::DEPT)
-        .unwrap()
-        .object_base()
-        .unwrap()
-}
 
 /// A tiny synchronous protocol client.
 struct Client {
@@ -74,53 +68,99 @@ fn spawn_server(opts: ServeOptions) -> troll::serve::SpawnedServer {
 }
 
 /// Every served response is byte-for-byte what a sequential `animate`
-/// of the same lines produces — ok texts and error messages alike.
+/// of the same lines produces — ok texts and error messages alike — on
+/// every shipped spec, in memory and durable under group commit. The
+/// whole script is pipelined on one connection; each `show`/`view`
+/// line is also sent as its `query-attr`/`query-view` sugar.
 #[test]
 fn served_world_matches_sequential_animate() {
-    let lines = [
-        r#"birth DEPT ("Toys") establishment (date(1991,10,16))"#,
-        r#"exec |DEPT|("Toys") hire (|PERSON|("ada"))"#,
-        r#"exec |DEPT|("Toys") hire (|PERSON|("bob"))"#,
-        r#"show |DEPT|("Toys") employees"#,
-        r#"exec |DEPT|("Toys") fire (|PERSON|("ghost"))"#, // refused
-        r#"exec |DEPT|("Toys") fire (|PERSON|("ada"))"#,
-        r#"show |DEPT|("Toys") employees"#,
-        r#"exec |DEPT|("Toys") closure ()"#,
-        "tick",
-    ];
-    let mut oracle = base();
-    let expected: Vec<Result<String, String>> = lines
-        .iter()
-        .map(|l| run_command(&mut oracle, l).map(|o| o.to_string()))
-        .collect();
+    let dir = std::env::temp_dir().join(format!("troll-serve-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (name, spec, lines) in spec_workloads::workloads() {
+        let mut oracle = System::load_str(spec).unwrap().object_base().unwrap();
+        let w = "w".to_string();
+        let mut requests = vec![Request::Open { world: w.clone() }];
+        let mut expected = vec![Response::Ok("opened w".to_string())];
+        for line in &lines {
+            let want = match run_command(&mut oracle, line) {
+                Ok(outcome) => Response::Ok(outcome.to_string()),
+                Err(e) => Response::Err(e),
+            };
+            requests.push(submit("w", line));
+            expected.push(want.clone());
+            let sugar = if let Some(rest) = line.strip_prefix("show ") {
+                let (id, attr) = rest.rsplit_once(' ').unwrap();
+                Some(Request::QueryAttr {
+                    world: w.clone(),
+                    id: id.to_string(),
+                    attr: attr.to_string(),
+                })
+            } else {
+                line.strip_prefix("view ")
+                    .map(|interface| Request::QueryView {
+                        world: w.clone(),
+                        interface: interface.to_string(),
+                    })
+            };
+            if let Some(req) = sugar {
+                requests.push(req);
+                expected.push(want);
+            }
+        }
+        let steps = oracle.steps_executed();
+        requests.push(Request::Stats {
+            world: Some(w.clone()),
+        });
+        expected.push(Response::Ok(format!(
+            "world w: steps={steps} attempts={}",
+            oracle.step_attempts()
+        )));
 
-    let spawned = spawn_server(ServeOptions::default());
-    let mut client = Client::connect(spawned.addr);
-    assert_eq!(
-        client.round_trip(&Request::Open {
-            world: "w".to_string()
-        }),
-        Response::Ok("opened w".to_string())
-    );
-    for (line, want) in lines.iter().zip(&expected) {
-        let got = client.round_trip(&submit("w", line));
-        match want {
-            Ok(text) => assert_eq!(got, Response::Ok(text.clone()), "line: {line}"),
-            Err(e) => assert_eq!(got, Response::Err(e.clone()), "line: {line}"),
+        let in_memory = ServeOptions::default();
+        let durable = ServeOptions {
+            durable: Some(dir.join(name)),
+            store: StoreOptions {
+                fsync: FsyncPolicy::Group(8),
+                ..in_memory.store.clone()
+            },
+            ..ServeOptions::default()
+        };
+        for opts in [in_memory, durable] {
+            let mode = if opts.durable.is_some() {
+                "durable group:8"
+            } else {
+                "in memory"
+            };
+            let spawned = Server::spawn("127.0.0.1:0", spec, opts).expect("spawn server");
+            let mut client = Client::connect(spawned.addr);
+            for req in &requests {
+                client.send(req);
+            }
+            for (req, want) in requests.iter().zip(&expected) {
+                let got = client.recv();
+                if let (Request::Stats { .. }, Response::Ok(got), Response::Ok(want)) =
+                    (req, &got, want)
+                {
+                    // durable worlds append their store figures
+                    assert!(got.starts_with(want), "{name} ({mode}): {got}");
+                } else {
+                    assert_eq!(&got, want, "{name} ({mode}): {}", req.to_json());
+                }
+            }
+            match client.round_trip(&Request::Stats { world: None }) {
+                Response::Ok(stats) => {
+                    assert!(
+                        stats.contains(&format!(" commits={steps} ")),
+                        "{name}: {stats}"
+                    )
+                }
+                other => panic!("stats failed: {other:?}"),
+            }
+            client.shutdown();
+            spawned.join.join().unwrap().unwrap();
         }
     }
-    // query sugar hits the same script paths
-    let attr = client.round_trip(&Request::QueryAttr {
-        world: "w".to_string(),
-        id: r#"|DEPT|("Toys")"#.to_string(),
-        attr: "employees".to_string(),
-    });
-    let want = run_command(&mut oracle, r#"show |DEPT|("Toys") employees"#)
-        .unwrap()
-        .to_string();
-    assert_eq!(attr, Response::Ok(want));
-    client.shutdown();
-    spawned.join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A request arriving in byte-sized dribbles parses once its newline
@@ -365,58 +405,45 @@ fn durable_worlds_survive_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The speculation API the server is built on: a stale speculation
-/// (the world moved underneath it) revalidates or re-executes, landing
-/// on exactly the state a sequential run reaches.
+/// Under group commit no step is acknowledged once the world's log has
+/// failed: with the world's directory removed, the next segment
+/// rotation cannot create its file, and from then on every line that
+/// commits a step is answered with an error, never an `ok` that no
+/// fsync covers.
 #[test]
-fn stale_speculation_matches_sequential_execution() {
-    let toys = ObjectId::new("DEPT", vec![Value::from("Toys")]);
-    let person = |n: &str| Value::Id(ObjectId::singleton("PERSON", Value::from(n)));
-
-    // oracle: plain sequential execution
-    let mut oracle = base();
-    oracle
-        .birth(
-            "DEPT",
-            vec![Value::from("Toys")],
-            "establishment",
-            vec![Value::Date(troll::data::Date::new(1991, 10, 16).unwrap())],
-        )
-        .unwrap();
-    oracle.execute(&toys, "hire", vec![person("ada")]).unwrap();
-    oracle.execute(&toys, "hire", vec![person("bob")]).unwrap();
-
-    // speculate both hires against the same frozen world, then commit
-    // them in order: the second speculation is stale by the time it
-    // commits (same target instance → read-set revalidation fails →
-    // sequential re-execution)
-    let mut ob = base();
-    ob.birth(
-        "DEPT",
-        vec![Value::from("Toys")],
-        "establishment",
-        vec![Value::Date(troll::data::Date::new(1991, 10, 16).unwrap())],
-    )
-    .unwrap();
-    let spec_a = ob.speculate(toys.clone(), "hire", vec![person("ada")]);
-    let spec_b = ob.speculate(toys.clone(), "hire", vec![person("bob")]);
-    let (res_a, conflict_a) = ob.commit_speculation(spec_a);
-    assert!(res_a.is_ok());
-    assert!(!conflict_a, "first commit sees an unmoved world");
-    let (res_b, _conflict_b) = ob.commit_speculation(spec_b);
-    assert!(res_b.is_ok());
-
-    assert_eq!(
-        ob.attribute(&toys, "employees").unwrap(),
-        oracle.attribute(&toys, "employees").unwrap()
-    );
-    assert_eq!(ob.steps_executed(), oracle.steps_executed());
-
-    // a speculated refusal also matches the sequential refusal
-    let spec_bad = ob.speculate(toys.clone(), "fire", vec![person("ghost")]);
-    let (res, _) = ob.commit_speculation(spec_bad);
-    let seq = oracle.execute(&toys, "fire", vec![person("ghost")]);
-    assert_eq!(res.unwrap_err().to_string(), seq.unwrap_err().to_string());
+fn group_commit_never_acks_past_a_write_error() {
+    let dir = std::env::temp_dir().join(format!("troll-serve-wal-fail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spawned = spawn_server(ServeOptions {
+        durable: Some(dir.clone()),
+        store: StoreOptions {
+            fsync: FsyncPolicy::Group(8),
+            segment_bytes: 256,
+            snapshot_every: 1024,
+        },
+        ..Default::default()
+    });
+    let mut client = Client::connect(spawned.addr);
+    client.round_trip(&Request::Open {
+        world: "w".to_string(),
+    });
+    let born = client.round_trip(&submit(
+        "w",
+        r#"birth DEPT ("Toys") establishment (date(1991,10,16))"#,
+    ));
+    assert!(matches!(born, Response::Ok(_)), "{born:?}");
+    std::fs::remove_dir_all(&dir).expect("remove durable root");
+    let mut failed = 0;
+    for i in 0..64 {
+        let line = format!(r#"exec |DEPT|("Toys") hire (|PERSON|("p{i}"))"#);
+        match client.round_trip(&submit("w", &line)) {
+            Response::Ok(_) => assert_eq!(failed, 0, "line {i} acked after the write error"),
+            Response::Err(_) => failed += 1,
+        }
+    }
+    assert!(failed > 0, "the write error never surfaced");
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
 }
 
 /// An over-long request line gets the connection dropped (it cannot be

@@ -1,10 +1,11 @@
 //! Deterministic per-spec replay workloads shared by the differential
-//! oracle tests (`vm_differential.rs`, `delta_differential.rs`): one
-//! script per shipped spec, touching valuation, guarded permissions
-//! (granted *and* refused), constraints, calling rules, global
-//! interactions, derived attributes, views, obligations and active
-//! events. Included via `#[path]` from each test binary — this file is
-//! not a test target itself.
+//! oracle tests (`vm_differential.rs`, `delta_differential.rs`) and the
+//! served-world oracle (`serve.rs`): one script per shipped spec,
+//! touching valuation, guarded permissions (granted *and* refused),
+//! constraints, calling rules, global interactions, derived
+//! attributes, views, obligations and active events. Included via
+//! `#[path]` from each test binary — this file is not a test target
+//! itself.
 
 /// One deterministic workload per shipped spec.
 pub fn workloads() -> Vec<(&'static str, &'static str, Vec<&'static str>)> {
