@@ -3,10 +3,7 @@
 use crate::compiled::{CompiledCall, CompiledClass, CompiledModel};
 use crate::env::{self, World};
 use crate::instance::{Instance, RoleState};
-use crate::monitor_cache::{
-    monitorable_grounding, recorded_state_vars, CheckKind, CheckRef, MonitorCache,
-    MonitorCacheStats, Verdict,
-};
+use crate::monitor_cache::{CheckKind, CheckRef, MonitorCache, MonitorCacheStats, Verdict};
 use crate::persist::{InstanceDump, StepSink};
 use crate::{Result, RuntimeError};
 use std::cell::RefCell;
@@ -1039,7 +1036,12 @@ impl ObjectBase {
                 let step = Step::with_state(std::mem::take(&mut w.new_events), snapshot);
                 let fed = {
                     let _advance = profiler.as_ref().map(|p| p.enter(Phase::MonitorAdvance));
-                    cache.on_commit(&id, &step)
+                    let first = if inst.trace.is_empty() {
+                        self.model.class(&w.class)
+                    } else {
+                        None
+                    };
+                    cache.on_commit(&id, &step, first)
                 };
                 if fed > 0 {
                     if let Some(obs) = &observer {
@@ -1588,14 +1590,20 @@ impl ObjectBase {
                         ctx_class: &occ.ctx_class,
                         event: &occ.event,
                         index: perm_index,
-                        args: &params,
                     };
-                    match cache.check(&occ.id, key, trace, &virtual_step, &env, || {
-                        monitorable_grounding(&perm.formula, &params, &recorded_state_vars(class))
-                    }) {
+                    let verdict = cache.check(
+                        &occ.id,
+                        key,
+                        &perm.formula,
+                        class,
+                        trace,
+                        &virtual_step,
+                        &env,
+                    );
+                    match verdict {
                         Verdict::Holds(b) => (b, CheckPath::Monitored),
-                        Verdict::Fallback => {
-                            note_scan_fallback(self, cache, "permission", &perm.formula);
+                        _ => {
+                            note_scan_fallback(self, cache, "permission", &perm.formula, verdict);
                             (scan_check(&env)?, CheckPath::Scan)
                         }
                     }
@@ -1875,24 +1883,25 @@ impl ObjectBase {
                 let (holds, path) = if c.kind == ConstraintKind::Initially {
                     (scan_check(&env)?, CheckPath::Scan)
                 } else {
-                    let no_args = BTreeMap::new();
                     let key = CheckRef {
                         kind: CheckKind::Constraint,
                         ctx_class: &w.class,
                         event: "",
                         index,
-                        args: &no_args,
                     };
-                    match cache.check(id, key, base_trace, &virtual_step, &env, || {
-                        monitorable_grounding(
-                            &c.formula,
-                            &BTreeMap::new(),
-                            &recorded_state_vars(base_class),
-                        )
-                    }) {
+                    let verdict = cache.check(
+                        id,
+                        key,
+                        &c.formula,
+                        base_class,
+                        base_trace,
+                        &virtual_step,
+                        &env,
+                    );
+                    match verdict {
                         Verdict::Holds(b) => (b, CheckPath::Monitored),
-                        Verdict::Fallback => {
-                            note_scan_fallback(self, cache, "constraint", &c.formula);
+                        _ => {
+                            note_scan_fallback(self, cache, "constraint", &c.formula, verdict);
                             (scan_check(&env)?, CheckPath::Scan)
                         }
                     }
@@ -1968,8 +1977,7 @@ fn role_entry_mut<'a>(
 }
 
 /// Process-wide count of permission/constraint checks that fell back
-/// from the incremental monitor to the O(history) scan because the
-/// formula lies outside the monitorable fragment — surfaced as
+/// from the monitors to the O(history) scan — surfaced as
 /// `temporal.scan_fallback` in [`troll_obs::global()`].
 fn scan_fallback_counter() -> &'static Counter {
     static COUNTER: OnceLock<Counter> = OnceLock::new();
@@ -1977,8 +1985,8 @@ fn scan_fallback_counter() -> &'static Counter {
 }
 
 /// Counts a monitor→scan fallback and warns once per distinct formula,
-/// naming it — so users learn why that check is O(history). Deliberate
-/// scans (cache disabled) are not fallbacks and stay silent.
+/// naming it and why — so users learn why that check is O(history).
+/// Deliberate scans (cache disabled) are not fallbacks and stay silent.
 ///
 /// The one-shot warning routes as a structured
 /// [`ObsEvent::FallbackNoted`] to the world's own observer when one is
@@ -1990,6 +1998,7 @@ fn note_scan_fallback(
     cache: &MonitorCache,
     what: &str,
     formula: &impl std::fmt::Display,
+    verdict: Verdict,
 ) {
     if !cache.enabled() {
         return;
@@ -2003,10 +2012,12 @@ fn note_scan_fallback(
     };
     let formula = formula.to_string();
     if seen.insert(formula.clone()) {
-        let detail = format!(
-            "{what} formula outside the monitorable fragment; \
-             every check scans the full history"
-        );
+        let why = if verdict == Verdict::Scan {
+            "is outside the monitorable fragment; every check scans the full history"
+        } else {
+            "could not be evaluated by its monitor; the check scans the full history"
+        };
+        let detail = format!("{what} formula {why}");
         let consumed = if base.observing {
             base.observer.on_event(&ObsEvent::FallbackNoted {
                 fallback: "temporal.scan_fallback".to_string(),
@@ -2018,10 +2029,7 @@ fn note_scan_fallback(
             troll_obs::note_fallback_warning("temporal.scan_fallback", &formula, &detail)
         };
         if !consumed {
-            eprintln!(
-                "warning: {what} formula `{formula}` is outside the monitorable fragment; \
-                 every check scans the full history"
-            );
+            eprintln!("warning: {what} formula `{formula}` {why}");
         }
     }
 }
@@ -3561,8 +3569,9 @@ mod scan_fallback_tests {
         troll_lang::analyze(&troll_lang::parse(src).expect("parse")).expect("analyze")
     }
 
-    /// Quantified permissions lie outside the monitorable fragment: the
-    /// silent monitor→scan fallback must be counted in the process-wide
+    /// A quantified permission whose body reads the bound variable in a
+    /// historical state predicate lies outside the monitorable fragment:
+    /// the silent monitor→scan fallback must be counted in the process-wide
     /// `temporal.scan_fallback`, but only while the cache is enabled
     /// (a deliberate scan is not a fallback).
     #[test]
@@ -3583,7 +3592,7 @@ object class DEPT
       [hire(P)] hired_ever = insert(P, hired_ever);
     permissions
       variables P: |PERSON|;
-      { for all(P in hired_ever : sometime(after(fire(P)))) } closure;
+      { for all(P in hired_ever : sometime(P in hired_ever)) } closure;
 end object class DEPT;
 "#;
         let counter = troll_obs::global().counter("temporal.scan_fallback");

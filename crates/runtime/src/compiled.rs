@@ -37,8 +37,8 @@ pub(crate) struct CompiledValuation {
 
 /// A permission formula's compiled scan form plus its precomputed
 /// needed-variable set. Monitorable formulas on base histories are
-/// answered by the monitor cache (whose state predicates are compiled
-/// inside `troll_temporal::Monitor`); everything else — role-context
+/// answered by the monitor cache (whose leaves are compiled inside
+/// `troll_temporal::ParametricMonitor`); everything else — role-context
 /// checks and unmonitorable formulas — scans through `scan`, the
 /// bytecode twin of the reference evaluator.
 #[derive(Debug)]

@@ -1,56 +1,59 @@
-//! Incremental monitor cache for permission and constraint checks.
+//! Incremental monitors for permission and constraint checks.
 //!
 //! The reference path evaluates every permission precondition and
 //! dynamic constraint by re-scanning the instance's whole trace
 //! ([`troll_temporal::eval_now_appended`], O(|trace|·|φ|) per check).
-//! This cache keeps one incremental [`Monitor`] per (instance, grounded
-//! check) pair, advanced once per committed step, so a check on the
-//! hot path costs a single O(|φ|) [`Monitor::peek`] regardless of how
-//! long the object has lived.
+//! This cache decides once per rule — (kind, context class, event,
+//! declaration index) — how its checks are answered ([`Plan`]):
+//!
+//! * a formula with no temporal operator (`{ n >= 0 }`, `static
+//!   Salary >= 5000.00`) is evaluated on the checked step alone, with no
+//!   state at all;
+//! * a formula in the [`ParametricMonitor`] fragment gets one monitor
+//!   per (instance, rule), its state indexed by the binding of the
+//!   slicing variable. `fire(P)`'s `sometime(after(hire(P)))` costs one
+//!   hash lookup, and DEPT's `for all(P in hired_ever :
+//!   sometime(after(fire(P))))` one lookup per element of `hired_ever`;
+//! * everything else scans.
+//!
+//! An instance's monitors are created at its first committed step and
+//! fed every committed step after it. An instance restored from a
+//! snapshot, or checked after the cache was re-enabled, builds each
+//! monitor once by catching up over its committed trace (a *miss*).
 //!
 //! # Safety argument
 //!
-//! The cache must never change observable semantics, only cost. Three
-//! properties make that hold:
+//! The cache must never change observable semantics, only cost:
 //!
-//! 1. **Grounding makes rigid arguments closed.** The scan evaluator
-//!    reads event-pattern arguments and permission parameters rigidly
-//!    in the *check-time* environment. A monitor replaying history has
-//!    no such environment, so [`monitorable_grounding`] substitutes the
-//!    parameter bindings as constants and rejects any formula that
-//!    still mentions a variable not guaranteed to be recorded in every
-//!    trace snapshot. Bindings that collide with recorded state names
-//!    are also rejected: step state shadows the ambient environment
-//!    under the scan semantics, so substituting them would flip the
-//!    resolution order.
-//! 2. **Replay errors poison the entry.** Historical steps are replayed
-//!    with an empty ambient environment. Any formula that needs
-//!    check-time bindings fails evaluation, the entry is marked
-//!    [`Entry::Unmonitorable`], and the caller falls back to the scan —
-//!    a monitor can give up, but it can never answer differently.
+//! 1. **The fragment is exact.** [`ParametricMonitor`] answers what the
+//!    scan answers whenever it answers at all (its property test runs
+//!    against the reference evaluator at every prefix). Historical state
+//!    predicates read only [`recorded_state_vars`], which every committed
+//!    step records.
+//! 2. **Errors go to the scan.** A check the monitor cannot evaluate (an
+//!    unbound slicing variable, a failing predicate the scan might
+//!    short-circuit past) is answered by the scan, which reports
+//!    whatever it reports. A monitor whose feed fails is abandoned for
+//!    the scan for good.
 //! 3. **Feeding happens at commit only.** [`MonitorCache::on_commit`]
 //!    is called exactly where the step engine pushes a committed trace
-//!    step; checks use the non-mutating [`Monitor::peek`] against the
-//!    transaction's virtual step. A rolled-back transaction therefore
-//!    leaves every monitor untouched by construction.
+//!    step; checks evaluate the transaction's virtual step without
+//!    mutating anything. A rolled-back transaction therefore leaves
+//!    every monitor untouched by construction.
 //!
-//! `troll-core`'s differential property test drives random event
-//! scripts through a cached and an uncached object base and asserts
-//! decision-for-decision equality, including across rollbacks.
+//! `tests/monitor_differential.rs` drives random and long scripted
+//! event sequences through a cached and an uncached object base and
+//! asserts decision-for-decision equality, including across rollbacks.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
-use troll_data::{Env, MapEnv, ObjectId, Value};
+use troll_data::{Env, ObjectId};
 use troll_lang::ast::ComponentKind;
-use troll_lang::ClassModel;
+use troll_lang::{ClassModel, ConstraintKind};
 use troll_obs::{Counter, Metrics};
-use troll_temporal::{Formula, Monitor, Step, Trace};
+use troll_temporal::{Formula, ParametricMonitor, Step, Trace};
 
-/// Per-instance cap on cached entries; beyond it, new checks simply use
-/// the scan path rather than evict (eviction would thrash on workloads
-/// with more distinct parameter values than slots).
-const MAX_ENTRIES_PER_INSTANCE: usize = 128;
-
-/// What kind of check an entry caches.
+/// What kind of check a rule is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum CheckKind {
     /// A permission precondition of an event.
@@ -59,36 +62,27 @@ pub(crate) enum CheckKind {
     Constraint,
 }
 
-/// Identity of one grounded check within an instance: which rule it is
-/// (kind, context class, event, declaration index) plus the parameter
-/// values it was grounded with.
+/// Identity of one check rule: kind, context class, guarded event and
+/// the rule's index (among the event's permissions, or among the class's
+/// constraints).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CheckKey {
     pub kind: CheckKind,
     pub ctx_class: String,
     /// Guarded event name; empty for constraints.
     pub event: String,
-    /// Index of the rule in the class's declaration order.
     pub index: usize,
-    /// Grounded parameter values; empty for constraints.
-    pub args: Vec<Value>,
 }
 
-/// Borrowed view of a [`CheckKey`], built on the check hot path from
-/// the step engine's existing data — no `String`/`Vec` clones per
-/// check. An owned key is materialized only when a new cache entry is
-/// actually inserted ([`CheckRef::to_owned`]).
+/// Borrowed view of a [`CheckKey`], built on the check hot path without
+/// allocating; an owned key is made only when an entry is inserted.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CheckRef<'a> {
     pub kind: CheckKind,
     pub ctx_class: &'a str,
     /// Guarded event name; empty for constraints.
     pub event: &'a str,
-    /// Index of the rule in the class's declaration order.
     pub index: usize,
-    /// Parameter bindings; the grounded argument values are the map's
-    /// values in name order, matching how [`CheckKey::args`] is built.
-    pub args: &'a BTreeMap<String, Value>,
 }
 
 impl CheckRef<'_> {
@@ -98,31 +92,49 @@ impl CheckRef<'_> {
             ctx_class: self.ctx_class.to_string(),
             event: self.event.to_string(),
             index: self.index,
-            args: self.args.values().cloned().collect(),
+        }
+    }
+
+    /// How `stored` orders relative to this key — consistent with
+    /// `CheckKey`'s derived `Ord` against `self.to_owned()`.
+    fn order(self, stored: &CheckKey) -> Ordering {
+        stored
+            .kind
+            .cmp(&self.kind)
+            .then_with(|| stored.ctx_class.as_str().cmp(self.ctx_class))
+            .then_with(|| stored.event.as_str().cmp(self.event))
+            .then_with(|| stored.index.cmp(&self.index))
+    }
+}
+
+/// How a rule's checks are answered, decided once per rule.
+#[derive(Debug)]
+enum Plan {
+    /// Outside the monitorable fragment.
+    Scan,
+    /// No temporal operator: evaluated on the checked step alone.
+    Stateless(ParametricMonitor),
+    /// A fresh monitor; every instance keeps its own copy.
+    Monitored(ParametricMonitor),
+}
+
+impl Plan {
+    fn new(formula: &Formula, class: &ClassModel) -> Plan {
+        match ParametricMonitor::new(formula, &recorded_state_vars(class)) {
+            Ok(m) if m.is_stateless() => Plan::Stateless(m),
+            Ok(m) => Plan::Monitored(m),
+            Err(_) => Plan::Scan,
         }
     }
 }
 
-/// How `stored` orders relative to the probe — consistent with
-/// `CheckKey`'s derived `Ord` against `probe.to_owned()`, without
-/// materializing the owned key.
-fn key_order(stored: &CheckKey, probe: &CheckRef<'_>) -> std::cmp::Ordering {
-    stored
-        .kind
-        .cmp(&probe.kind)
-        .then_with(|| stored.ctx_class.as_str().cmp(probe.ctx_class))
-        .then_with(|| stored.event.as_str().cmp(probe.event))
-        .then_with(|| stored.index.cmp(&probe.index))
-        .then_with(|| stored.args.iter().cmp(probe.args.values()))
-}
-
 #[derive(Debug)]
 enum Entry {
-    /// A live monitor, synced to some prefix of the committed trace.
-    Active(Monitor),
-    /// The check is outside the monitorable fragment (or a replay
-    /// errored); always answer with the scan path.
-    Unmonitorable,
+    /// A live monitor, fed every committed step of its instance.
+    Active(ParametricMonitor),
+    /// Feeding a historical state predicate failed; answer with the
+    /// scan from now on.
+    Abandoned,
 }
 
 /// A stable point-in-time snapshot of the monitor-cache counters, as
@@ -135,16 +147,17 @@ enum Entry {
 /// struct is the typed façade over that registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorCacheStats {
-    /// Checks answered by a monitor peek — the O(|φ|) fast path.
+    /// Checks answered without a history scan.
     pub hits: u64,
-    /// Cache entries created (first sight of a grounded check).
+    /// Monitors built by catching up over a committed trace: instances
+    /// restored from a snapshot, or checked after the cache was
+    /// re-enabled.
     pub misses: u64,
     /// Checks answered by the reference scan evaluator: formulas
-    /// outside the monitorable fragment, poisoned entries, per-instance
-    /// capacity overflow, or a disabled cache.
+    /// outside the monitorable fragment, checks the monitor could not
+    /// evaluate, or a disabled cache.
     pub fallbacks: u64,
-    /// Entries dropped or degraded (instance death, stale or poisoned
-    /// monitor state).
+    /// Monitors dropped or abandoned (instance death, failed feed).
     pub invalidations: u64,
 }
 
@@ -168,27 +181,28 @@ impl std::fmt::Display for MonitorCacheStats {
 /// Outcome of consulting the cache for one check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// The monitor answered: the formula holds (or not) on the history
-    /// extended with the virtual step.
+    /// The formula holds (or not) on the history extended with the
+    /// virtual step.
     Holds(bool),
-    /// Not cacheable here — evaluate with the scan path.
-    Fallback,
+    /// Scan: the cache is off, or the formula is outside the fragment.
+    Scan,
+    /// Scan: the monitor could not evaluate this check, or was abandoned.
+    Failed,
 }
 
-/// The cache proper: monitors keyed by instance, then by grounded
-/// check. The stats counters are obs handles — registered in the owning
-/// object base's [`Metrics`] under `monitor_cache.*` — so one
+/// The cache proper: plans keyed by rule, monitors keyed by instance,
+/// then rule. The stats counters are obs handles — registered in the
+/// owning object base's [`Metrics`] under `monitor_cache.*` — so one
 /// instrumentation source feeds both [`MonitorCacheStats`] and the
 /// metrics snapshot.
 ///
-/// Per-instance entries live in a `Vec` sorted by `CheckKey` order and
-/// are probed by binary search with [`key_order`]: the instance cap is
-/// 128 entries, a tree buys nothing at that size, and the flat layout
-/// is what lets a lookup compare against borrowed key parts instead of
-/// an allocated `CheckKey`.
+/// Both tables are `Vec`s sorted by key and probed by binary search with
+/// a borrowed [`CheckRef`]: a class has a handful of rules, and the flat
+/// layout lets a lookup compare in place instead of allocating a key.
 #[derive(Debug)]
 pub(crate) struct MonitorCache {
     enabled: bool,
+    plans: Vec<(CheckKey, Plan)>,
     per_instance: BTreeMap<ObjectId, Vec<(CheckKey, Entry)>>,
     hits: Counter,
     misses: Counter,
@@ -203,6 +217,7 @@ impl Default for MonitorCache {
     fn default() -> Self {
         MonitorCache {
             enabled: true,
+            plans: Vec::new(),
             per_instance: BTreeMap::new(),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -217,18 +232,17 @@ impl MonitorCache {
     /// `monitor_cache.{hits,misses,fallbacks,invalidations}`.
     pub(crate) fn new(metrics: &Metrics) -> Self {
         MonitorCache {
-            enabled: true,
-            per_instance: BTreeMap::new(),
             hits: metrics.counter("monitor_cache.hits"),
             misses: metrics.counter("monitor_cache.misses"),
             fallbacks: metrics.counter("monitor_cache.fallbacks"),
             invalidations: metrics.counter("monitor_cache.invalidations"),
+            ..MonitorCache::default()
         }
     }
 
-    /// Enables or disables the cache. Disabling drops all state, so a
-    /// later re-enable rebuilds monitors lazily from committed traces.
-    /// The counters are cumulative and survive the toggle.
+    /// Enables or disables the cache. Disabling drops every monitor, so
+    /// a later re-enable rebuilds them from committed traces. The
+    /// counters are cumulative and survive the toggle.
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         if !enabled {
             self.per_instance.clear();
@@ -249,117 +263,108 @@ impl MonitorCache {
         }
     }
 
-    /// Answers one check against `trace` extended with `virtual_step`,
-    /// creating/syncing the entry as needed. `ground` is invoked only
-    /// when the entry is first created; returning `None` marks the
-    /// check unmonitorable for good.
-    ///
-    /// The hit path — instance known, entry present, monitor in sync —
-    /// performs no allocation: the probe key is borrowed and the
-    /// instance/entry lookups compare in place.
+    /// The index of `key`'s plan, built from `formula` on first sight.
+    fn plan(&mut self, key: CheckRef<'_>, formula: &Formula, class: &ClassModel) -> usize {
+        match self.plans.binary_search_by(|(k, _)| key.order(k)) {
+            Ok(p) => p,
+            Err(p) => {
+                self.plans
+                    .insert(p, (key.to_owned(), Plan::new(formula, class)));
+                p
+            }
+        }
+    }
+
+    /// Answers one check of rule `key` (whose formula is `formula`, in
+    /// `class`) against `trace` extended with `virtual_step`. The hit
+    /// path allocates no key: both tables are probed with `key` as is.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn check(
         &mut self,
         id: &ObjectId,
         key: CheckRef<'_>,
+        formula: &Formula,
+        class: &ClassModel,
         trace: &Trace,
         virtual_step: &Step,
         env: &dyn Env,
-        ground: impl FnOnce() -> Option<Formula>,
     ) -> Verdict {
         if !self.enabled {
             self.fallbacks.inc();
-            return Verdict::Fallback;
+            return Verdict::Scan;
         }
-        if !self.per_instance.contains_key(id) {
-            self.per_instance.insert(id.clone(), Vec::new());
-        }
-        let entries = self.per_instance.get_mut(id).expect("ensured above");
-
-        let idx = match entries.binary_search_by(|(k, _)| key_order(k, &key)) {
-            Ok(i) => {
-                // A monitor ahead of the committed trace cannot arise
-                // from the normal feed order; rebuild rather than
-                // trust it.
-                if matches!(&entries[i].1, Entry::Active(m) if m.steps() > trace.len()) {
-                    self.invalidations.inc();
-                    self.misses.inc();
-                    entries[i].1 = match ground().map(|f| Monitor::new(&f)) {
-                        Some(Ok(m)) => Entry::Active(m),
-                        _ => Entry::Unmonitorable,
-                    };
-                }
-                i
+        let p = self.plan(key, formula, class);
+        let answer = match &self.plans[p].1 {
+            Plan::Scan => {
+                self.fallbacks.inc();
+                return Verdict::Scan;
             }
-            Err(pos) => {
-                self.misses.inc();
-                if entries.len() >= MAX_ENTRIES_PER_INSTANCE {
-                    self.fallbacks.inc();
-                    return Verdict::Fallback;
-                }
-                let entry = match ground().map(|f| Monitor::new(&f)) {
-                    Some(Ok(m)) => Entry::Active(m),
-                    _ => Entry::Unmonitorable,
+            Plan::Stateless(m) => m.eval_appended(virtual_step, env),
+            Plan::Monitored(fresh) => {
+                let entries = instance_entries(&mut self.per_instance, id);
+                let e = match entries.binary_search_by(|(k, _)| key.order(k)) {
+                    Ok(e) => e,
+                    Err(e) => {
+                        if !trace.is_empty() {
+                            self.misses.inc();
+                        }
+                        let mut m = fresh.clone();
+                        let entry = match trace.iter().try_for_each(|s| m.step(s)) {
+                            Ok(()) => Entry::Active(m),
+                            Err(_) => Entry::Abandoned,
+                        };
+                        entries.insert(e, (key.to_owned(), entry));
+                        e
+                    }
                 };
-                entries.insert(pos, (key.to_owned(), entry));
-                pos
+                match &entries[e].1 {
+                    Entry::Active(m) => m.eval_appended(virtual_step, env),
+                    Entry::Abandoned => {
+                        self.fallbacks.inc();
+                        return Verdict::Failed;
+                    }
+                }
             }
-        };
-
-        let entry = &mut entries[idx].1;
-        let Entry::Active(monitor) = entry else {
-            self.fallbacks.inc();
-            return Verdict::Fallback;
-        };
-
-        // Catch up on steps committed since the entry was last synced
-        // (the whole history on first use, O(1) amortized afterwards).
-        // Replay uses an empty ambient environment: anything that needs
-        // check-time bindings errors out and poisons the entry.
-        let rigid = MapEnv::new();
-        let mut poisoned = false;
-        while monitor.steps() < trace.len() {
-            let step = trace.step(monitor.steps()).expect("steps() < len()");
-            if monitor.step(step, &rigid).is_err() {
-                poisoned = true;
-                break;
-            }
-        }
-        let answer = if poisoned {
-            None
-        } else {
-            monitor.peek(virtual_step, env).ok()
         };
         match answer {
-            Some(holds) => {
+            Ok(holds) => {
                 self.hits.inc();
                 Verdict::Holds(holds)
             }
-            None => {
-                *entry = Entry::Unmonitorable;
+            Err(_) => {
                 self.fallbacks.inc();
-                Verdict::Fallback
+                Verdict::Failed
             }
         }
     }
 
     /// Feeds a freshly committed step to every monitor of the instance.
     /// Must be called exactly once per step pushed to the instance's
-    /// base trace. Returns the number of live monitors that consumed
-    /// the step (for the `MonitorFed` observability event).
-    pub(crate) fn on_commit(&mut self, id: &ObjectId, step: &Step) -> usize {
+    /// base trace; `first` carries the instance's class when this is its
+    /// first step, which creates its monitors. Returns the number of
+    /// monitors that consumed the step (for the `MonitorFed`
+    /// observability event).
+    pub(crate) fn on_commit(
+        &mut self,
+        id: &ObjectId,
+        step: &Step,
+        first: Option<&ClassModel>,
+    ) -> usize {
         if !self.enabled {
             return 0;
+        }
+        if let Some(class) = first {
+            self.start(id, class);
         }
         let Some(entries) = self.per_instance.get_mut(id) else {
             return 0;
         };
-        let rigid = MapEnv::new();
         let mut fed = 0usize;
         for (_, entry) in entries.iter_mut() {
             if let Entry::Active(m) = entry {
-                if m.step(step, &rigid).is_err() {
+                if m.step(step).is_err() {
                     self.invalidations.inc();
-                    *entry = Entry::Unmonitorable;
+                    *entry = Entry::Abandoned;
                 } else {
                     fed += 1;
                 }
@@ -368,7 +373,41 @@ impl MonitorCache {
         fed
     }
 
-    /// Drops all entries of a dead instance.
+    /// Creates a fresh monitor for every monitored rule of `class` the
+    /// instance does not have yet — the rules its checks will key by:
+    /// permissions by event and index, recurring constraints by index.
+    fn start(&mut self, id: &ObjectId, class: &ClassModel) {
+        let mut per_event: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut rules = Vec::new();
+        for p in &class.permissions {
+            let index = per_event.entry(&p.event).or_default();
+            rules.push((CheckKind::Permission, p.event.as_str(), *index, &p.formula));
+            *index += 1;
+        }
+        for (index, c) in class.constraints.iter().enumerate() {
+            if c.kind != ConstraintKind::Initially {
+                rules.push((CheckKind::Constraint, "", index, &c.formula));
+            }
+        }
+        for (kind, event, index, formula) in rules {
+            let key = CheckRef {
+                kind,
+                ctx_class: &class.name,
+                event,
+                index,
+            };
+            let p = self.plan(key, formula, class);
+            let Plan::Monitored(fresh) = &self.plans[p].1 else {
+                continue;
+            };
+            let entries = instance_entries(&mut self.per_instance, id);
+            if let Err(e) = entries.binary_search_by(|(k, _)| key.order(k)) {
+                entries.insert(e, (key.to_owned(), Entry::Active(fresh.clone())));
+            }
+        }
+    }
+
+    /// Drops all monitors of a dead instance.
     pub(crate) fn on_death(&mut self, id: &ObjectId) {
         if let Some(entries) = self.per_instance.remove(id) {
             self.invalidations.add(entries.len() as u64);
@@ -376,13 +415,25 @@ impl MonitorCache {
     }
 }
 
+/// The instance's entry table, created empty on first use; the id is
+/// cloned only then.
+fn instance_entries<'a>(
+    per_instance: &'a mut BTreeMap<ObjectId, Vec<(CheckKey, Entry)>>,
+    id: &ObjectId,
+) -> &'a mut Vec<(CheckKey, Entry)> {
+    if !per_instance.contains_key(id) {
+        per_instance.insert(id.clone(), Vec::new());
+    }
+    per_instance.get_mut(id).expect("ensured above")
+}
+
 /// Variables guaranteed resolvable from a committed base-trace snapshot
 /// of `class`: stored (non-derived) attributes, identification
 /// attributes, inherited-base aliases and single-valued component
 /// names. (If one of these happens to be missing from some historical
-/// snapshot, replay errors and the entry degrades to the scan path —
+/// snapshot, feeding errors and the monitor is abandoned for the scan —
 /// the set gates what we *attempt*, not what is correct.)
-pub(crate) fn recorded_state_vars(class: &ClassModel) -> BTreeSet<String> {
+fn recorded_state_vars(class: &ClassModel) -> BTreeSet<String> {
     let mut vars = BTreeSet::new();
     for attr in class.template.signature().attributes() {
         if !attr.derived {
@@ -403,213 +454,152 @@ pub(crate) fn recorded_state_vars(class: &ClassModel) -> BTreeSet<String> {
     vars
 }
 
-/// Grounds `formula` with the parameter `bindings` and returns the
-/// result if it lies in the cache's monitorable fragment:
-/// quantifier-free, past-only, closed event-pattern arguments, and
-/// state predicates over recorded variables only. Returns `None` (use
-/// the scan path) otherwise.
-pub(crate) fn monitorable_grounding(
-    formula: &Formula,
-    bindings: &BTreeMap<String, Value>,
-    recorded: &BTreeSet<String>,
-) -> Option<Formula> {
-    // Step state shadows the ambient environment under scan semantics,
-    // so a binding named like a recorded variable must not be
-    // substituted as a constant.
-    if bindings.keys().any(|k| recorded.contains(k)) {
-        return None;
-    }
-    let grounded = formula.ground(bindings);
-    monitor_safe(&grounded, recorded).then_some(grounded)
-}
-
-fn monitor_safe(f: &Formula, recorded: &BTreeSet<String>) -> bool {
-    match f {
-        Formula::Pred(t) => t.free_vars().iter().all(|v| recorded.contains(v)),
-        // Pattern arguments are evaluated rigidly at check time by the
-        // scan; only closed terms are rigid under replay too.
-        Formula::Occurs(p) | Formula::After(p) => {
-            p.args.iter().flatten().all(|t| t.free_vars().is_empty())
-        }
-        Formula::Not(a) | Formula::Sometime(a) | Formula::AlwaysPast(a) | Formula::Previous(a) => {
-            monitor_safe(a, recorded)
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Since(a, b) => {
-            monitor_safe(a, recorded) && monitor_safe(b, recorded)
-        }
-        Formula::Eventually(_) | Formula::Henceforth(_) | Formula::Quant { .. } => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use troll_data::Term;
-    use troll_temporal::{EventOccurrence, EventPattern};
+    use troll_data::{MapEnv, Value};
+    use troll_temporal::EventOccurrence;
 
-    fn params(pairs: &[(&str, &str)]) -> BTreeMap<String, Value> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), Value::from(*v)))
-            .collect()
+    const DEPT: &str = r#"
+object class DEPT
+  identification id: string;
+  template
+    attributes
+      budget: int;
+      hired_ever: set(string);
+    events
+      birth establishment;
+      hire(string);
+      fire(string);
+      audit(string);
+      spend(int);
+    permissions
+      variables P: string; n: int;
+      { sometime(after(hire(P))) } fire(P);
+      { sometime(budget > 0 and P = "x") } audit(P);
+      { n >= 0 } spend(n);
+end object class DEPT;
+"#;
+
+    fn dept() -> ClassModel {
+        let model = troll_lang::analyze(&troll_lang::parse(DEPT).unwrap()).unwrap();
+        model.class("DEPT").unwrap().clone()
     }
 
-    fn key<'a>(event: &'a str, args: &'a BTreeMap<String, Value>) -> CheckRef<'a> {
+    fn key(event: &str) -> CheckRef<'_> {
         CheckRef {
             kind: CheckKind::Permission,
-            ctx_class: "C",
+            ctx_class: "DEPT",
             event,
             index: 0,
-            args,
         }
     }
 
-    fn hire_step(name: &str) -> Step {
+    fn step(events: Vec<(&str, &str)>) -> Step {
         Step::new(
-            vec![EventOccurrence::new("hire", vec![Value::from(name)])],
-            [],
+            events
+                .into_iter()
+                .map(|(e, a)| EventOccurrence::new(e, vec![Value::from(a)]))
+                .collect(),
+            [("budget".to_string(), Value::from(1))],
         )
     }
 
-    fn sometime_hired(name: &str) -> Formula {
-        Formula::sometime(Formula::after(EventPattern::new(
-            "hire",
-            vec![Some(Term::constant(name))],
-        )))
+    fn bound(pairs: &[(&str, Value)]) -> MapEnv {
+        let mut env = MapEnv::new();
+        for (k, v) in pairs {
+            env.bind(*k, v.clone());
+        }
+        env
     }
 
+    fn formula<'a>(class: &'a ClassModel, event: &'a str) -> &'a Formula {
+        &class.permissions_for(event).next().unwrap().formula
+    }
+
+    /// An instance born under the cache gets its monitors at its first
+    /// commit and is fed from there; one restored with a history
+    /// replays it once, on its first check.
     #[test]
     fn check_replays_peeks_and_feeds() {
+        let class = dept();
+        let fire = formula(&class, "fire");
+        let trace: Trace = [step(vec![]), step(vec![("hire", "ada")])]
+            .into_iter()
+            .collect();
+        let born = ObjectId::new("DEPT", vec![Value::from("born")]);
+        let restored = ObjectId::new("DEPT", vec![Value::from("restored")]);
         let mut cache = MonitorCache::default();
-        let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
-        let mut trace = Trace::new();
-        trace.push(hire_step("ada"));
-        let ada = params(&[("P", "ada")]);
-        let bob = params(&[("P", "bob")]);
-
-        // miss + replay of the committed step, then a peek
-        let v = cache.check(
-            &id,
-            key("fire", &ada),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || Some(sometime_hired("ada")),
-        );
-        assert_eq!(v, Verdict::Holds(true));
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1);
-
-        // commit advances the monitor; the next check is a pure hit
-        let step = Step::new(vec![], []);
-        cache.on_commit(&id, &step);
-        trace.push(step);
-        let v = cache.check(
-            &id,
-            key("fire", &ada),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || panic!("entry must already exist"),
-        );
-        assert_eq!(v, Verdict::Holds(true));
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 2);
-
-        // a different grounding is a distinct entry with its own state
-        let v = cache.check(
-            &id,
-            key("fire", &bob),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || Some(sometime_hired("bob")),
-        );
-        assert_eq!(v, Verdict::Holds(false));
-    }
-
-    #[test]
-    fn unmonitorable_and_disabled_fall_back() {
-        let mut cache = MonitorCache::default();
-        let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
-        let trace = Trace::new();
-        let vstep = Step::new(vec![], []);
-        let none = params(&[]);
-
-        let v = cache.check(&id, key("e", &none), &trace, &vstep, &env, || None);
-        assert_eq!(v, Verdict::Fallback);
-        // the unmonitorable verdict is remembered, not re-derived
-        let v = cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            panic!("ground must not run again")
-        });
-        assert_eq!(v, Verdict::Fallback);
-        assert_eq!(cache.stats().fallbacks, 2);
-        assert_eq!(cache.stats().misses, 1);
-
-        cache.set_enabled(false);
-        let v = cache.check(&id, key("f", &none), &trace, &vstep, &env, || {
-            panic!("disabled cache must not ground")
-        });
-        assert_eq!(v, Verdict::Fallback);
-        assert!(!cache.enabled());
+        for (i, s) in trace.iter().enumerate() {
+            let first = (i == 0).then_some(&class);
+            assert_eq!(cache.on_commit(&born, s, first), 1);
+        }
+        for id in [&born, &restored] {
+            let vstep = step(vec![]);
+            for (who, holds) in [("ada", true), ("bob", false)] {
+                let env = bound(&[("P", Value::from(who))]);
+                let v = cache.check(id, key("fire"), fire, &class, &trace, &vstep, &env);
+                assert_eq!(v, Verdict::Holds(holds));
+            }
+            // hired within the checked step itself
+            let env = bound(&[("P", Value::from("cy"))]);
+            let vstep = step(vec![("hire", "cy")]);
+            let v = cache.check(id, key("fire"), fire, &class, &trace, &vstep, &env);
+            assert_eq!(v, Verdict::Holds(true));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.fallbacks), (6, 1, 0));
     }
 
     #[test]
     fn death_drops_entries() {
+        let class = dept();
         let mut cache = MonitorCache::default();
-        let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
-        let trace = Trace::new();
-        let vstep = Step::new(vec![], []);
-        let none = params(&[]);
-        cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            Some(Formula::truth())
-        });
+        let id = ObjectId::new("DEPT", vec![]);
+        cache.on_commit(&id, &step(vec![]), Some(&class));
         cache.on_death(&id);
         assert_eq!(cache.stats().invalidations, 1);
-        // recreated from scratch afterwards
-        cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            Some(Formula::truth())
-        });
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.on_commit(&id, &step(vec![]), None), 0);
     }
 
     #[test]
-    fn grounding_gate() {
-        let mut recorded = BTreeSet::new();
-        recorded.insert("budget".to_string());
-        let mut bindings = BTreeMap::new();
-        bindings.insert("P".to_string(), Value::from("ada"));
+    fn unmonitorable_and_disabled_fall_back() {
+        let class = dept();
+        let mut cache = MonitorCache::default();
+        let id = ObjectId::new("DEPT", vec![]);
+        let trace = Trace::new();
+        let vstep = step(vec![]);
 
-        // pattern argument P becomes closed after grounding
-        let perm = Formula::sometime(Formula::after(EventPattern::new(
-            "hire",
-            vec![Some(Term::var("P"))],
-        )));
-        let grounded = monitorable_grounding(&perm, &bindings, &recorded).unwrap();
-        assert_eq!(grounded.to_string(), "sometime(after(hire(\"ada\")))");
+        // no temporal operator: no monitor, answered on the step
+        let spend = formula(&class, "spend");
+        let env = bound(&[("n", Value::from(-1))]);
+        let v = cache.check(&id, key("spend"), spend, &class, &trace, &vstep, &env);
+        assert_eq!(v, Verdict::Holds(false));
+        assert!(cache.per_instance.is_empty());
 
-        // un-grounded free pattern variable: rejected
-        assert!(monitorable_grounding(&perm, &BTreeMap::new(), &recorded).is_none());
+        // the slicing-free state predicate mentions a parameter
+        let audit = formula(&class, "audit");
+        let env = bound(&[("P", Value::from("x"))]);
+        let v = cache.check(&id, key("audit"), audit, &class, &trace, &vstep, &env);
+        assert_eq!(v, Verdict::Scan);
 
-        // predicates over recorded state are fine, others are not
-        let pred_ok = Formula::pred(Term::var("budget"));
-        assert!(monitorable_grounding(&pred_ok, &BTreeMap::new(), &recorded).is_some());
-        let pred_bad = Formula::pred(Term::var("self"));
-        assert!(monitorable_grounding(&pred_bad, &BTreeMap::new(), &recorded).is_none());
+        // an unbound slicing variable is left to the scan to report
+        let fire = formula(&class, "fire");
+        let v = cache.check(
+            &id,
+            key("fire"),
+            fire,
+            &class,
+            &trace,
+            &vstep,
+            &MapEnv::new(),
+        );
+        assert_eq!(v, Verdict::Failed);
 
-        // quantifiers and future operators: rejected
-        let quant = Formula::forall("Q", Term::var("budget"), Formula::truth());
-        assert!(monitorable_grounding(&quant, &BTreeMap::new(), &recorded).is_none());
-        let fut = Formula::eventually(Formula::truth());
-        assert!(monitorable_grounding(&fut, &BTreeMap::new(), &recorded).is_none());
-
-        // binding that collides with a recorded variable: rejected
-        let mut shadow = BTreeMap::new();
-        shadow.insert("budget".to_string(), Value::from(1));
-        let pred = Formula::pred(Term::var("budget"));
-        assert!(monitorable_grounding(&pred, &shadow, &recorded).is_none());
+        cache.set_enabled(false);
+        let v = cache.check(&id, key("spend"), spend, &class, &trace, &vstep, &env);
+        assert_eq!(v, Verdict::Scan);
+        assert!(!cache.enabled());
+        assert_eq!(cache.stats().fallbacks, 3);
     }
 }

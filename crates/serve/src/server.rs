@@ -1214,12 +1214,8 @@ fn built_worlds(shared: &Shared) -> String {
 }
 
 /// Spawns (in-memory) or opens/recovers (durable) one world.
-///
-/// Served worlds check permissions and constraints on the scan path:
-/// with the monitor cache on, every commit feeds up to 128 monitors
-/// per instance, which cost 29 % of churn throughput when measured.
 fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
-    let (mut base, store) = match &shared.durable {
+    let (base, store) = match &shared.durable {
         None => (shared.model.spawn().map_err(|e| e.to_string())?, None),
         Some(root) => {
             let dir = root.join("worlds").join(name);
@@ -1231,7 +1227,6 @@ fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
             (base, Some(store))
         }
     };
-    base.set_monitor_cache_enabled(false);
     Ok(WorldState { base, store })
 }
 
@@ -1256,12 +1251,11 @@ mod tests {
 
     const DEPT: &str = include_str!("../../../specs/dept.troll");
 
-    /// Served worlds run scan-path checks: turning the monitor cache on
-    /// cost 29 % of churn throughput when measured.
+    /// Served worlds, in memory and durable, answer permissions and
+    /// constraints with the incremental monitors.
     #[test]
-    fn built_worlds_run_with_the_monitor_cache_off() {
-        let dir =
-            std::env::temp_dir().join(format!("troll-serve-cache-off-{}", std::process::id()));
+    fn built_worlds_run_with_the_monitor_cache_on() {
+        let dir = std::env::temp_dir().join(format!("troll-serve-cache-on-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for durable in [None, Some(dir.clone())] {
             let opts = ServeOptions {
@@ -1270,7 +1264,7 @@ mod tests {
             };
             let server = Server::bind("127.0.0.1:0", DEPT, opts).expect("bind");
             let state = build_world(&server.shared, "w").expect("build world");
-            assert!(!state.base.monitor_cache_enabled());
+            assert!(state.base.monitor_cache_enabled());
             assert_eq!(state.store.is_some(), server.shared.durable.is_some());
         }
         let _ = std::fs::remove_dir_all(&dir);

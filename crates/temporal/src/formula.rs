@@ -225,7 +225,8 @@ impl Formula {
     }
 
     /// Whether the formula is quantifier-free (supported by the
-    /// incremental [`crate::Monitor`] when also past-only).
+    /// incremental [`crate::Monitor`] when also past-only; the
+    /// [`crate::ParametricMonitor`] also takes one top-level quantifier).
     pub fn is_quantifier_free(&self) -> bool {
         match self {
             Formula::Pred(_) | Formula::Occurs(_) | Formula::After(_) => true,
@@ -248,11 +249,9 @@ impl Formula {
     /// quantifier domains. Quantifier binders shadow as usual.
     ///
     /// Grounding a permission formula with its parameter bindings turns
-    /// time-varying pattern arguments (rigidly evaluated variables like
-    /// `P` in `sometime(after(hire(P)))`) into closed terms, which is
-    /// what makes the result safe to hand to an incremental
-    /// [`crate::Monitor`] that replays historical steps without the
-    /// check-time environment.
+    /// rigidly evaluated pattern arguments (like `P` in
+    /// `sometime(after(hire(P)))`) into closed terms, so the result can
+    /// be evaluated without the check-time environment.
     pub fn ground(&self, bindings: &BTreeMap<String, Value>) -> Formula {
         if bindings.is_empty() {
             return self.clone();

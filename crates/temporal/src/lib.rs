@@ -26,6 +26,12 @@
 //! * [`Monitor`] — an incremental evaluator for the quantifier-free,
 //!   past-only fragment: O(|φ|) per step instead of O(|trace|·|φ|) per
 //!   query. This is the ablation pair of DESIGN.md decision 2.
+//! * [`ParametricMonitor`] — one incremental monitor per formula with
+//!   its state indexed by the binding of one slicing variable
+//!   (parametric trace slicing), plus an optional top-level quantifier:
+//!   `sometime(after(hire(P)))` under every `P`, and DEPT's quantified
+//!   `closure` permission, without history scans. The runtime's
+//!   permission and constraint checks use it.
 //! * [`CompiledFormula`] — the reference scan with every leaf term
 //!   lowered to bytecode once: handles the entire logic (quantifiers
 //!   and future operators included) and is observationally identical
@@ -63,13 +69,15 @@ mod eval;
 mod formula;
 mod monitor;
 mod obs;
+mod parametric;
 mod scan;
 mod trace;
 
 pub use error::TemporalError;
 pub use eval::{eval_at, eval_now, eval_now_appended, holds_throughout};
 pub use formula::{EventPattern, Formula};
-pub use monitor::{agree_on_trace, Monitor, MonitorSnapshot};
+pub use monitor::{agree_on_trace, Monitor};
+pub use parametric::ParametricMonitor;
 pub use scan::CompiledFormula;
 pub use trace::{EventOccurrence, Step, Trace};
 

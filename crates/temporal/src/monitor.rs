@@ -14,6 +14,7 @@
 //! against each other (`bench_permission_check`).
 
 use crate::eval::{eval_at, eval_now};
+use crate::parametric::ParamPattern;
 use crate::scan::{pattern_matches, CompiledPattern};
 use crate::{Formula, Result, Step, TemporalError, Trace};
 use troll_data::{Env, Layered};
@@ -24,9 +25,15 @@ use troll_vm::Compiled;
 /// State predicates and pattern arguments are compiled once here — the
 /// monitor re-evaluates them on every step/peek.
 #[derive(Debug, Clone)]
-enum Node {
+pub(crate) enum Node {
     Pred(Compiled),
     Occurs(CompiledPattern),
+    /// A closed state predicate, evaluated once at construction
+    /// ([`crate::ParametricMonitor`] only).
+    Const(bool),
+    /// An event pattern over the slicing variable
+    /// ([`crate::ParametricMonitor`] only).
+    Param(ParamPattern),
     Not(usize),
     And(usize, usize),
     Or(usize, usize),
@@ -64,15 +71,6 @@ pub struct Monitor {
     steps: usize,
 }
 
-/// The dynamic state of a [`Monitor`] — one boolean per subformula plus
-/// the step count. Captured by [`Monitor::snapshot`], reinstated by
-/// [`Monitor::restore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MonitorSnapshot {
-    prev: Vec<bool>,
-    steps: usize,
-}
-
 impl Monitor {
     /// Compiles a formula into a monitor.
     ///
@@ -99,34 +97,9 @@ impl Monitor {
     /// Computes the subformula values at `step` given the values at the
     /// previous step, without committing them.
     fn advance(&self, step: &Step, env: &dyn Env) -> Result<Vec<bool>> {
-        let first = self.steps == 0;
-        let mut cur = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            cur[i] = match node {
-                Node::Pred(t) => {
-                    let layered = Layered {
-                        top: step,
-                        base: env,
-                    };
-                    let v = t.eval(&layered)?;
-                    v.as_bool()
-                        .ok_or_else(|| TemporalError::NonBooleanPredicate {
-                            predicate: t.to_string(),
-                            value: v.to_string(),
-                        })?
-                }
-                Node::Occurs(p) => pattern_matches(p, step, env)?,
-                Node::Not(a) => !cur[*a],
-                Node::And(a, b) => cur[*a] && cur[*b],
-                Node::Or(a, b) => cur[*a] || cur[*b],
-                Node::Implies(a, b) => !cur[*a] || cur[*b],
-                Node::Sometime(a) => cur[*a] || (!first && self.prev[i]),
-                Node::AlwaysPast(a) => cur[*a] && (first || self.prev[i]),
-                Node::Previous(a) => !first && self.prev[*a],
-                Node::Since(a, b) => cur[*b] || (cur[*a] && !first && self.prev[i]),
-            };
-        }
-        Ok(cur)
+        transition(&self.nodes, &self.prev, self.steps == 0, |_, leaf| {
+            eval_leaf(leaf, step, env)
+        })
     }
 
     /// Feeds the next step of the history; returns the formula's truth
@@ -159,31 +132,6 @@ impl Monitor {
         Ok(*cur.last().expect("monitor has at least one node"))
     }
 
-    /// Captures the monitor's dynamic state — O(|φ|) booleans, cheap to
-    /// take before a speculative [`Monitor::step`] and restore after.
-    pub fn snapshot(&self) -> MonitorSnapshot {
-        MonitorSnapshot {
-            prev: self.prev.clone(),
-            steps: self.steps,
-        }
-    }
-
-    /// Restores state captured by [`Monitor::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a monitor compiled for a
-    /// different formula (subformula counts differ).
-    pub fn restore(&mut self, snapshot: MonitorSnapshot) {
-        assert_eq!(
-            snapshot.prev.len(),
-            self.nodes.len(),
-            "monitor snapshot belongs to a different formula"
-        );
-        self.prev = snapshot.prev;
-        self.steps = snapshot.steps;
-    }
-
     /// Current truth value (of the last consumed step); `false` before
     /// the first step, mirroring [`crate::eval_now`] on empty traces for
     /// the positive fragment.
@@ -209,6 +157,56 @@ impl Monitor {
             last = m.step(step, env)?;
         }
         Ok(last)
+    }
+}
+
+/// One bottom-up pass over `nodes`: the subformula values at a step,
+/// given their values `prev` at the step before (`first` when there is
+/// none). Connectives and temporal operators are computed here; `leaf`
+/// supplies every `Pred`, `Occurs` and `Param` node's value, by index.
+pub(crate) fn transition(
+    nodes: &[Node],
+    prev: &[bool],
+    first: bool,
+    mut leaf: impl FnMut(usize, &Node) -> Result<bool>,
+) -> Result<Vec<bool>> {
+    let mut cur = vec![false; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        cur[i] = match node {
+            Node::Pred(_) | Node::Occurs(_) | Node::Param(_) => leaf(i, node)?,
+            Node::Const(b) => *b,
+            Node::Not(a) => !cur[*a],
+            Node::And(a, b) => cur[*a] && cur[*b],
+            Node::Or(a, b) => cur[*a] || cur[*b],
+            Node::Implies(a, b) => !cur[*a] || cur[*b],
+            Node::Sometime(a) => cur[*a] || (!first && prev[i]),
+            Node::AlwaysPast(a) => cur[*a] && (first || prev[i]),
+            Node::Previous(a) => !first && prev[*a],
+            Node::Since(a, b) => cur[*b] || (cur[*a] && !first && prev[i]),
+        };
+    }
+    Ok(cur)
+}
+
+/// The value of a `Pred` or `Occurs` leaf at `step`: predicates see the
+/// step's state over `env`, pattern arguments are evaluated in `env`.
+/// `Param` leaves have no value without a binding and read `false`.
+pub(crate) fn eval_leaf(leaf: &Node, step: &Step, env: &dyn Env) -> Result<bool> {
+    match leaf {
+        Node::Pred(t) => {
+            let layered = Layered {
+                top: step,
+                base: env,
+            };
+            let v = t.eval(&layered)?;
+            v.as_bool()
+                .ok_or_else(|| TemporalError::NonBooleanPredicate {
+                    predicate: t.to_string(),
+                    value: v.to_string(),
+                })
+        }
+        Node::Occurs(p) => pattern_matches(p, step, env),
+        _ => Ok(false),
     }
 }
 
@@ -346,21 +344,6 @@ mod tests {
         // Now `sometime` is sticky even through a quiet peek.
         assert!(m.peek(&mkstep(vec![], 0), &env).unwrap());
         assert_eq!(m.steps(), 1);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let phi = Formula::sometime(Formula::occurs(EventPattern::any("e")));
-        let mut m = Monitor::new(&phi).unwrap();
-        let env = MapEnv::new();
-        m.step(&mkstep(vec![], 0), &env).unwrap();
-        let snap = m.snapshot();
-        assert!(m.step(&mkstep(vec!["e"], 0), &env).unwrap());
-        assert!(m.current());
-        m.restore(snap);
-        assert!(!m.current());
-        assert_eq!(m.steps(), 1);
-        assert!(!m.step(&mkstep(vec![], 0), &env).unwrap());
     }
 
     fn arb_formula() -> impl Strategy<Value = Formula> {

@@ -15,9 +15,11 @@
 //!   class, but predicate leaves run as bytecode. Counted *in addition*
 //!   to `temporal.scan_evals`, which stays the total scan count.
 //! * `temporal.monitor_steps` — committed steps consumed by
-//!   [`crate::Monitor::step`], O(|φ|) each.
+//!   [`crate::Monitor::step`] and [`crate::ParametricMonitor::step`],
+//!   O(|φ|) each plus one hash update per binding the step touches.
 //! * `temporal.monitor_peeks` — non-mutating hot-path queries via
-//!   [`crate::Monitor::peek`], O(|φ|) each.
+//!   [`crate::Monitor::peek`] and [`crate::ParametricMonitor::peek`],
+//!   O(|φ|) each plus one hash lookup of the binding.
 //!
 //! Handles are resolved once through a `OnceLock`, so the per-call cost
 //! is one relaxed atomic increment. Values are cumulative over the

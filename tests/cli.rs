@@ -149,6 +149,41 @@ fn animate_stats_prints_consistent_counters() {
 /// `--shards N` runs the script through the sharded executor: identical
 /// stdout to the sequential run, with the shard counters accounted for
 /// in the stats (every script event lands as a commit or a conflict).
+/// DEPT's permissions stay on the monitors however many persons a
+/// department churns through: 300 hire/fire pairs and a `closure` take
+/// no scan fallback and print no warning (a bounded per-binding cache
+/// once sent the 129th person's `fire` to the scan with a warning that
+/// called the formula unmonitorable).
+#[test]
+fn animate_long_dept_churn_never_scans() {
+    let mut session = String::from("birth DEPT (\"Toys\") establishment (date(1991,10,16))\n");
+    for i in 0..300 {
+        for event in ["hire", "fire"] {
+            session.push_str(&format!(
+                "exec |DEPT|(\"Toys\") {event} (|PERSON|(\"p{i}\"))\n"
+            ));
+        }
+    }
+    session.push_str("exec |DEPT|(\"Toys\") closure ()\n");
+    let script = scratch("churn.script");
+    std::fs::write(&script, session).unwrap();
+    let out = run(&["animate", "--stats", &dept_spec(), script.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("warning"), "no fallback warning: {stderr}");
+    let counter = |name: &str| -> u64 {
+        stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .map_or(0, |l| l.split_whitespace().nth(1).unwrap().parse().unwrap())
+    };
+    assert_eq!(counter("global.temporal.scan_fallback"), 0, "{stdout}");
+    assert_eq!(counter("permissions.path.scan"), 0, "{stdout}");
+    assert_eq!(counter("permissions.path.monitored"), 301, "{stdout}");
+    let _ = std::fs::remove_file(&script);
+}
+
 #[test]
 fn animate_shards_matches_sequential_output() {
     let script = scratch("shards.script");

@@ -1,19 +1,24 @@
-//! Differential property tests for the runtime's incremental monitor
-//! cache: with the cache on (default) and off (forced history scans),
-//! random event scripts must produce decision-for-decision identical
-//! behaviour — same grants, same refusals (including mid-transaction
-//! rollbacks), same observable states and histories.
+//! Differential tests for the runtime's incremental monitors: with the
+//! cache on (default) and off (forced history scans), event scripts —
+//! random ones, and a long one past a hundred distinct persons — must
+//! produce decision-for-decision identical behaviour: same grants, same
+//! refusals (including mid-transaction rollbacks), same observable
+//! states and histories.
 
 use proptest::prelude::*;
 use troll::data::{ObjectId, Value};
 use troll::System;
 
 /// A DEPT-flavoured class tailored to stress every cache path:
-/// * `fire`'s permission is monitorable after grounding `P`;
-/// * `closure`'s quantified permission is outside the fragment and
-///   must fall back to the scan evaluator;
-/// * the static constraint is a cacheable recurring check and refuses
-///   over-hiring, exercising constraint-driven rollback;
+/// * `fire`'s permission is monitored, its state sliced by `P`;
+/// * `closure`'s quantified permission is monitored too, one binding
+///   lookup per element of `hired_ever`;
+/// * `audit`'s permission reads `P` in a historical state predicate,
+///   which is outside the monitorable fragment: it falls back to the
+///   scan evaluator;
+/// * the static constraint has no temporal operator and is evaluated on
+///   the checked step; it refuses over-hiring, exercising
+///   constraint-driven rollback;
 /// * `swap` calls `fire; hire` synchronously, so one refused sub-event
 ///   rolls back a multi-occurrence transaction.
 const SPEC: &str = r#"
@@ -29,6 +34,7 @@ object class DEPT
       death closure;
       hire(|PERSON|);
       fire(|PERSON|);
+      audit(|PERSON|);
       swap(|PERSON|, |PERSON|);
     valuation
       variables P: |PERSON|;
@@ -45,27 +51,46 @@ object class DEPT
     permissions
       variables P: |PERSON|;
       { sometime(after(hire(P))) } fire(P);
+      { sometime(P in employees) } audit(P);
       { for all(P in hired_ever : sometime(after(fire(P)))) } closure;
 end object class DEPT;
 "#;
 
-fn person(n: u8) -> Value {
+fn person(n: u32) -> Value {
     Value::Id(ObjectId::new("PERSON", vec![Value::from(format!("p{n}"))]))
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    Hire(u8),
-    Fire(u8),
-    Swap(u8, u8),
+    Hire(u32),
+    Fire(u32),
+    Audit(u32),
+    Swap(u32, u32),
     Closure,
+}
+
+impl Op {
+    fn run(
+        &self,
+        ob: &mut troll::runtime::ObjectBase,
+        id: &ObjectId,
+    ) -> troll::runtime::Result<troll::runtime::StepReport> {
+        match self {
+            Op::Hire(n) => ob.execute(id, "hire", vec![person(*n)]),
+            Op::Fire(n) => ob.execute(id, "fire", vec![person(*n)]),
+            Op::Audit(n) => ob.execute(id, "audit", vec![person(*n)]),
+            Op::Swap(a, b) => ob.execute(id, "swap", vec![person(*a), person(*b)]),
+            Op::Closure => ob.execute(id, "closure", vec![]),
+        }
+    }
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..5).prop_map(Op::Hire),
-        (0u8..5).prop_map(Op::Fire),
-        (0u8..5, 0u8..5).prop_map(|(a, b)| Op::Swap(a, b)),
+        (0u32..5).prop_map(Op::Hire),
+        (0u32..5).prop_map(Op::Fire),
+        (0u32..5).prop_map(Op::Audit),
+        (0u32..5, 0u32..5).prop_map(|(a, b)| Op::Swap(a, b)),
         Just(Op::Closure),
     ]
 }
@@ -80,6 +105,43 @@ fn fresh_dept(cache_enabled: bool) -> (troll::runtime::ObjectBase, ObjectId) {
     (ob, id)
 }
 
+/// Runs `ops` in lock-step against a cached and an uncached base and
+/// fails on the first difference in decision, error message,
+/// attribute or history length. Stops after the department's death.
+fn lockstep(ops: &[Op]) -> Result<troll::runtime::ObjectBase, String> {
+    let (mut cached, id) = fresh_dept(true);
+    let (mut scan, id_s) = fresh_dept(false);
+    assert_eq!(id, id_s);
+    for op in ops {
+        let rc = op.run(&mut cached, &id);
+        let rs = op.run(&mut scan, &id);
+        match (&rc, &rs) {
+            (Ok(a), Ok(b)) if a.occurrences == b.occurrences => {}
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
+            _ => {
+                return Err(format!(
+                    "decision divergence on {op:?}: cached={rc:?} scan={rs:?}"
+                ))
+            }
+        }
+        for attr in ["employees", "hired_ever"] {
+            if cached.attribute(&id, attr).unwrap() != scan.attribute(&id, attr).unwrap() {
+                return Err(format!("attribute {attr} diverged after {op:?}"));
+            }
+        }
+        let (ci, si) = (cached.instance(&id).unwrap(), scan.instance(&id).unwrap());
+        if ci.trace().len() != si.trace().len() || ci.is_alive() != si.is_alive() {
+            return Err(format!("history diverged after {op:?}"));
+        }
+        if !ci.is_alive() {
+            break;
+        }
+    }
+    // the scan base never consults monitors
+    assert_eq!(scan.monitor_cache_stats().hits, 0);
+    Ok(cached)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -90,70 +152,80 @@ proptest! {
     /// multi-event rollbacks the script produces.
     #[test]
     fn cache_and_scan_agree_on_random_scripts(ops in proptest::collection::vec(arb_op(), 1..50)) {
-        let (mut cached, id) = fresh_dept(true);
-        let (mut scan, id_s) = fresh_dept(false);
-        prop_assert_eq!(&id, &id_s);
-
-        for op in ops {
-            let run = |ob: &mut troll::runtime::ObjectBase| match &op {
-                Op::Hire(n) => ob.execute(&id, "hire", vec![person(*n)]),
-                Op::Fire(n) => ob.execute(&id, "fire", vec![person(*n)]),
-                Op::Swap(a, b) => ob.execute(&id, "swap", vec![person(*a), person(*b)]),
-                Op::Closure => ob.execute(&id, "closure", vec![]),
-            };
-            let rc = run(&mut cached);
-            let rs = run(&mut scan);
-            match (&rc, &rs) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(&a.occurrences, &b.occurrences),
-                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                _ => prop_assert!(
-                    false,
-                    "decision divergence on {:?}: cached={:?} scan={:?}",
-                    op, rc, rs
-                ),
-            }
-            for attr in ["employees", "hired_ever"] {
-                prop_assert_eq!(
-                    cached.attribute(&id, attr).unwrap(),
-                    scan.attribute(&id, attr).unwrap(),
-                    "attribute {} diverged after {:?}", attr, op
-                );
-            }
-            let (ci, si) = (cached.instance(&id).unwrap(), scan.instance(&id).unwrap());
-            prop_assert_eq!(ci.trace().len(), si.trace().len());
-            prop_assert_eq!(ci.is_alive(), si.is_alive());
-            if !ci.is_alive() {
-                break;
-            }
-        }
-        // the scan base never consults monitors; the cached one decides
-        // every check through the cache (monitor answer or counted
-        // fallback)
-        let (cs, ss) = (cached.monitor_cache_stats(), scan.monitor_cache_stats());
-        prop_assert_eq!(ss.hits, 0);
+        let cached = lockstep(&ops).map_err(TestCaseError::fail)?;
+        // the cached base decides every check through the cache
+        // (monitor answer or counted fallback)
+        let cs = cached.monitor_cache_stats();
         prop_assert!(cs.hits + cs.fallbacks > 0);
     }
 }
 
+/// A deterministic churn through 300 distinct persons — far past any
+/// per-instance bound on bindings — with refused fires, refused and
+/// granted `swap`s (whole-transaction rollbacks), refused `closure`s
+/// while someone is employed and a final granted `closure`. Cached and
+/// scan runs agree on every decision, and the cached run never scans.
+#[test]
+fn long_churn_past_128_persons_agrees_with_scan() {
+    let mut ops = Vec::new();
+    for i in 0..300 {
+        ops.push(Op::Hire(i));
+        // never hired: refused, and the swap's hire rolls back with it
+        ops.push(Op::Swap(i + 1000, i + 2000));
+        ops.push(Op::Fire(i + 2000));
+        if i % 10 == 0 {
+            // someone is still employed
+            ops.push(Op::Closure);
+        }
+        if i % 3 == 0 {
+            // granted: p_i leaves, p_{i+300} joins
+            ops.push(Op::Swap(i, i + 300));
+            ops.push(Op::Fire(i));
+            ops.push(Op::Fire(i + 300));
+        } else {
+            ops.push(Op::Fire(i));
+        }
+        // refused: fired persons stay hired in the past, but an old
+        // never-hired person does not
+        ops.push(Op::Fire(i + 3000));
+    }
+    ops.push(Op::Closure);
+    let cached = lockstep(&ops).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        !cached.instance(&cached_id()).unwrap().is_alive(),
+        "the final closure is granted"
+    );
+    let stats = cached.monitor_cache_stats();
+    assert_eq!(stats.fallbacks, 0, "{stats}");
+    assert_eq!(stats.misses, 0, "{stats}");
+    let snapshot = cached.metrics().snapshot();
+    assert_eq!(snapshot.counters["permissions.path.scan"], 0);
+    assert!(snapshot.counters["permissions.path.monitored"] > 1000);
+}
+
+fn cached_id() -> ObjectId {
+    ObjectId::new("DEPT", vec![Value::from("D")])
+}
+
 /// A scripted session pinning down the cache's observable behaviour:
-/// monitorable checks are answered by monitors (hits), the quantified
-/// `closure` permission demonstrably falls back to the scan path, and
-/// death drops the instance's entries.
+/// monitorable checks — the quantified `closure` included — are
+/// answered by monitors (hits) built at the department's birth (no
+/// misses), `audit`'s out-of-fragment permission demonstrably falls
+/// back to the scan path, and death drops the instance's monitors.
 #[test]
 fn scripted_session_exercises_hits_and_fallbacks() {
     let (mut ob, id) = fresh_dept(true);
 
     ob.execute(&id, "hire", vec![person(0)]).unwrap();
-    // first fire(p0): cache miss, replay, monitor answers
     ob.execute(&id, "fire", vec![person(0)]).unwrap();
     let after_first = ob.monitor_cache_stats();
-    assert!(after_first.misses > 0, "first check must create entries");
+    assert_eq!(after_first.misses, 0, "monitors start at birth");
     assert!(
         after_first.hits > 0,
         "monitorable check must be answered by a monitor"
     );
 
-    // same grounded check again: pure hit, no new entry
+    // the same check again: another hit
     ob.execute(&id, "hire", vec![person(0)]).unwrap();
     ob.execute(&id, "fire", vec![person(0)]).unwrap();
     let after_second = ob.monitor_cache_stats();
@@ -165,19 +237,25 @@ fn scripted_session_exercises_hits_and_fallbacks() {
     assert!(ob.execute(&id, "fire", vec![person(1)]).is_err());
     assert!(ob.execute(&id, "fire", vec![person(0)]).is_ok());
 
-    // the quantified closure permission is outside the monitorable
-    // fragment: it must fall back (and here succeeds, killing the
-    // instance and invalidating its entries)
-    let before_closure = ob.monitor_cache_stats();
+    // audit's permission reads P in a historical state predicate: it
+    // must fall back to the scan evaluator
+    let before_audit = ob.monitor_cache_stats();
+    ob.execute(&id, "audit", vec![person(0)]).unwrap();
+    let after_audit = ob.monitor_cache_stats();
+    assert!(
+        after_audit.fallbacks > before_audit.fallbacks,
+        "out-of-fragment permission must fall back to the scan evaluator"
+    );
+
+    // the quantified closure permission is monitored (and here
+    // succeeds, killing the instance and dropping its monitors)
     ob.execute(&id, "closure", vec![]).unwrap();
     let after_closure = ob.monitor_cache_stats();
+    assert!(after_closure.hits > after_audit.hits);
+    assert_eq!(after_closure.fallbacks, after_audit.fallbacks);
     assert!(
-        after_closure.fallbacks > before_closure.fallbacks,
-        "quantified permission must fall back to the scan evaluator"
-    );
-    assert!(
-        after_closure.invalidations > before_closure.invalidations,
-        "death must drop the instance's cache entries"
+        after_closure.invalidations > after_audit.invalidations,
+        "death must drop the instance's monitors"
     );
 }
 
@@ -219,7 +297,8 @@ fn multi_event_rollback_leaves_cache_consistent() {
 }
 
 /// Disabling the cache mid-life drops state; re-enabling rebuilds
-/// monitors lazily from the committed trace with identical answers.
+/// monitors from the committed trace (one miss each) with identical
+/// answers.
 #[test]
 fn toggle_rebuilds_from_committed_history() {
     let (mut ob, id) = fresh_dept(true);
@@ -237,5 +316,7 @@ fn toggle_rebuilds_from_committed_history() {
     // replayed from the full committed trace, same verdicts as ever
     assert!(ob.execute(&id, "fire", vec![person(0)]).is_ok());
     assert!(ob.execute(&id, "fire", vec![person(3)]).is_err());
-    assert!(ob.monitor_cache_stats().hits > before.hits);
+    let after = ob.monitor_cache_stats();
+    assert!(after.hits > before.hits);
+    assert_eq!(after.misses, before.misses + 1, "one catch-up, then feeds");
 }
